@@ -22,6 +22,10 @@ from .estimation import (
     estimate_transmission,
     residual_noise_variance,
     shot_noise_normalize,
+    var_noise_hat,
+    var_phi_hat,
+    var_theta_hat,
+    var_transmission_hat,
 )
 from .finite_size import (
     FiniteKeyReport,
@@ -31,10 +35,6 @@ from .finite_size import (
     delta_n,
     finite_key_rate,
     optimize_fraction,
-    var_noise_hat,
-    var_phi_hat,
-    var_theta_hat,
-    var_transmission_hat,
     worst_case,
 )
 from .gaussian import (

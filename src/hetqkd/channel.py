@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .estimation import estimate_excess_noise, estimate_transmission
 from .gaussian import CovMat4
 from .params import PhysicalParams
 
@@ -102,8 +103,6 @@ def eb_from_measured(gamma: CovMat4, p: PhysicalParams) -> np.ndarray:
     ndarray
         4x4 covariance of modes (A, B) before Bob's trusted heterodyne.
     """
-    from .estimation import estimate_excess_noise, estimate_transmission
-
     if p.v_mod < 1e-12:
         raise ValueError("no modulation, EB mapping singular")
     eta_hat = estimate_transmission(gamma, p.alpha, p.v_a, p.tau_x, p.tau_p)

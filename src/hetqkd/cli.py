@@ -24,7 +24,9 @@ import numpy as np
 from .channel import build_pm_covariance
 from .compensation import alice_transform_angles, apply_transform_frame
 from .estimation import EstimationReport, estimate_all
-from .finite_size import FiniteScheme, FiniteSizeConfig, finite_key_rate, optimize_fraction
+from .finite_size import (
+    FiniteKeyReport, FiniteScheme, FiniteSizeConfig, finite_key_rate, optimize_fraction,
+)
 from .info import ignorant_mi, true_mi
 from .params import PhysicalParams
 from .security import KeyRateVariant, asymptotic_key_rate, max_tolerable_noise
@@ -52,12 +54,9 @@ _COMMAND_KEYS = {
     "tolerance": {"params", "eta_grid", "theta_deg_values", "variants"},
     "finite": {
         "params", "distances_km", "losses_db", "block_sizes",
-        "fiber_db_per_km", "eps_pe", "z", "eps_smooth", "balance_bs",
+        "fiber_db_per_km", "z", "eps_smooth", "balance_bs",
     },
-    "simulate": {
-        "params", "m", "frames", "block_sizes", "eps_pe", "z", "eps_smooth",
-        "balance_bs",
-    },
+    "simulate": {"params", "m", "frames", "block_sizes", "z", "eps_smooth", "balance_bs"},
     "estimate": {"params"},
 }
 
@@ -211,14 +210,16 @@ def cmd_tolerance(cfg: dict, seed: int, out: str) -> list[str]:
     return [path]
 
 
-def _finite_size_cfg(cfg: dict, n_total: float, frac: float = 0.5) -> FiniteSizeConfig:
-    return FiniteSizeConfig(
-        n_total=n_total,
-        frac_key=frac,
-        eps_pe=float(cfg.get("eps_pe", 1e-10)),
-        z=float(cfg.get("z", 6.5)),
-        eps_smooth=float(cfg.get("eps_smooth", 1e-10)),
-    )
+def _block_rates(
+    p: PhysicalParams, report: EstimationReport, cfg: dict, n_total: float
+) -> list[tuple[float, FiniteKeyReport]]:
+    """``(frac_key, report)`` of K_n at its best key fraction, then of K_N."""
+    given = {key: float(cfg[key]) for key in ("z", "eps_smooth") if key in cfg}
+    fs_cfg = FiniteSizeConfig(n_total=n_total, **given)
+    balance_bs = bool(cfg.get("balance_bs", False))
+    k_n = optimize_fraction(p, report, fs_cfg, balance_bs=balance_bs)
+    k_full = finite_key_rate(p, report, fs_cfg, FiniteScheme.EC_BEFORE_PE, balance_bs=balance_bs)
+    return [k_n, (1.0, k_full)]
 
 
 def cmd_finite(cfg: dict, seed: int, out: str) -> list[str]:
@@ -234,22 +235,14 @@ def cmd_finite(cfg: dict, seed: int, out: str) -> list[str]:
         losses = [d * db_per_km for d in distances]
     block_sizes = [float(v) for v in cfg.get("block_sizes", [1e6, 1e7, 1e8])]
 
-    balance_bs = bool(cfg.get("balance_bs", False))
     rows = []
     for dist, loss in zip(distances, losses):
         eta = 10 ** (-loss / 10.0)
         p = replace(base, eta=eta)
         report = estimate_all(build_pm_covariance(p), p)
         for n_total in block_sizes:
-            frac, kn = optimize_fraction(
-                p, report, _finite_size_cfg(cfg, n_total), balance_bs=balance_bs
-            )
-            rows.append([dist, loss, n_total, FiniteScheme.PE_BEFORE_EC.label, frac, kn.rate])
-            kn_full = finite_key_rate(
-                p, report, _finite_size_cfg(cfg, n_total), FiniteScheme.EC_BEFORE_PE,
-                balance_bs=balance_bs,
-            )
-            rows.append([dist, loss, n_total, FiniteScheme.EC_BEFORE_PE.label, 1.0, kn_full.rate])
+            for frac, rep in _block_rates(p, report, cfg, n_total):
+                rows.append([dist, loss, n_total, rep.scheme.label, frac, rep.rate])
     path = os.path.join(out, "finite.csv")
     _write_csv(path, "finite",
                ["distance_km", "loss_db", "n_total", "scheme", "frac_key", "rate"],
@@ -316,25 +309,12 @@ def cmd_simulate(cfg: dict, seed: int, out: str) -> list[str]:
     _write_csv(mi_path, "mi_recovery", ["quantity", "value"], mi_rows)
     written.append(mi_path)
 
-    balance_bs = bool(cfg.get("balance_bs", False))
     rows = []
     for n_total in block_sizes:
-        frac, kn = optimize_fraction(
-            p, report, _finite_size_cfg(cfg, n_total), balance_bs=balance_bs
-        )
-        rows.append([
-            n_total, FiniteScheme.PE_BEFORE_EC.label, frac, kn.rate,
-            kn.bounds.eta_low, kn.bounds.eps_up, math.degrees(kn.bounds.delta_up),
-        ])
-        kn_full = finite_key_rate(
-            p, report, _finite_size_cfg(cfg, n_total), FiniteScheme.EC_BEFORE_PE,
-            balance_bs=balance_bs,
-        )
-        rows.append([
-            n_total, FiniteScheme.EC_BEFORE_PE.label, 1.0, kn_full.rate,
-            kn_full.bounds.eta_low, kn_full.bounds.eps_up,
-            math.degrees(kn_full.bounds.delta_up),
-        ])
+        for frac, rep in _block_rates(p, report, cfg, n_total):
+            b = rep.bounds
+            rows.append([n_total, rep.scheme.label, frac, rep.rate,
+                         b.eta_low, b.eps_up, math.degrees(b.delta_up)])
     rates_path = os.path.join(out, "keyrates.csv")
     _write_csv(rates_path, "keyrates",
                ["n_total", "scheme", "frac_key", "rate",

@@ -1,4 +1,5 @@
-"""Parameter estimation from frames or covariance matrices.
+"""Parameter estimation from frames or covariance matrices, and the
+sampling variances of the estimators.
 
 Every estimator is exact on matrices produced by ``build_pm_covariance``
 (machine-precision builder round-trip) and consistent on simulated frames.
@@ -6,10 +7,17 @@ Angles use the convention in which the builder round-trip is the identity:
 the p-quadrature co-variance is negative, and both the ratio estimators and
 the cross-check below are signed so that positive (theta, phi) come back
 positive.
+
+The variances are the leading 1/m (delta-method) terms at a given sample
+count, evaluated at the plug-in parameters (the known receiver values with
+the point estimates substituted).  ``estimate_all`` attaches them at the
+frame's own sample count; the finite-size layer re-evaluates them at its
+schemes' sample counts through the same ``estimator_variances``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace, asdict
@@ -21,6 +29,12 @@ from .params import PhysicalParams
 from .simulator import QuadratureFrame, empirical_covariance
 
 _MIN_SIN_DELTA = 1e-3
+#: Largest imbalance angle the variance formulas (and the finite-size
+#: rates built on them) accept.
+MAX_ANGLE = math.radians(80.0)
+#: Half-width, in standard deviations, of the angle confidence rectangle
+#: that ``var_transmission_hat`` integrates over.
+_Z_ANGLES = 6.5
 
 
 class NormalizationError(ValueError):
@@ -210,6 +224,225 @@ def residual_noise_variance(
     return 0.5 * float(np.mean(resid**2)) - 1.0
 
 
+def _var_arm_angle(p: PhysicalParams, angle: float, tau: float, m: int) -> float:
+    """Sampling variance of one arm's imbalance estimator.
+
+    Leading 1/m term of the ratio estimator, <p_a x_B> / <x_a x_B> for the
+    x arm: Var[p_a x_B] / (m eta tau v_a^2 alpha^2 cos^2 angle), with the
+    Gaussian product moment Var[p_a x_B] = v_a V_B + <p_a x_B>^2 evaluated
+    exactly.  This is the delta-method variance; Monte Carlo over
+    independent frames reproduces it within sampling error.
+    """
+    if m < 1000:
+        raise ValueError("variance formula requires m >= 1000")
+    if abs(angle) > MAX_ANGLE:
+        raise ValueError("imbalance too close to pi/2, variance diverges")
+    v_b = 1.0 + p.eta * tau * (p.v_mod + p.eps)
+    corr = math.sqrt(p.eta * tau) * math.sin(angle) * p.v_a * p.alpha
+    var_prod = p.v_a * v_b + corr**2
+    return var_prod / (m * p.eta * tau * p.v_a**2 * p.alpha**2 * math.cos(angle) ** 2)
+
+
+def var_theta_hat(p: PhysicalParams, m: int) -> float:
+    """Sampling variance of the x-quadrature imbalance estimator theta_hat."""
+    return _var_arm_angle(p, p.theta, p.tau_x, m)
+
+
+def var_phi_hat(p: PhysicalParams, m: int) -> float:
+    """Sampling variance of the p-quadrature imbalance estimator phi_hat."""
+    return _var_arm_angle(p, p.phi, p.tau_p, m)
+
+
+def _legendre_and_derivative(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise."""
+    p_prev, p_n = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p_n = p_n, ((2 * j - 1) * x * p_n - (j - 1) * p_prev) / j
+    return p_n, n * (x * p_n - p_prev) / ((x - 1.0) * (x + 1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], cached per n.
+
+    Newton's method on P_n from the usual cosine initial guesses, in
+    elementwise arithmetic; the weights 2 / ((1 - x^2) P_n'(x)^2) are taken
+    at the converged nodes, and both are mirrored, so the rule is exactly
+    symmetric.  numpy's ``leggauss`` starts from LAPACK eigenvalues instead,
+    which ties its last bits to the BLAS kernel.  The returned arrays are
+    shared, hence read-only.
+    """
+    if n < 1:
+        raise ValueError("a Gauss-Legendre rule needs at least one node")
+    # Non-positive half of the nodes, ascending; the rest is its mirror.
+    x = np.array([-math.cos(math.pi * (k + 0.75) / (n + 0.5)) for k in range((n + 1) // 2)])
+    for _ in range(100):
+        p_n, deriv = _legendre_and_derivative(x, n)
+        step = p_n / deriv
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    if n % 2:
+        x[-1] = 0.0
+    _, deriv = _legendre_and_derivative(x, n)
+    weights = 2.0 / ((1.0 - x) * (1.0 + x) * deriv * deriv)
+    nodes = np.concatenate([x, -x[: n // 2][::-1]])
+    w = np.concatenate([weights, weights[: n // 2][::-1]])
+    nodes.flags.writeable = False
+    w.flags.writeable = False
+    return nodes, w
+
+
+def _gauss_legendre_variance(
+    func,
+    mu_t: float,
+    sd_t: float,
+    bounds_t: tuple[float, float],
+    mu_f: float,
+    sd_f: float,
+    bounds_f: tuple[float, float],
+    nodes: int,
+) -> float:
+    """Variance of func under a truncated bivariate Gaussian weight.
+
+    Central-moment (two-pass) evaluation: the raw second moment would lose
+    ~9 digits to cancellation because the integrand varies by parts per
+    thousand over the confidence rectangle.
+    """
+    xt, wt = legendre_rule(nodes)
+    lo_t, hi_t = bounds_t
+    lo_f, hi_f = bounds_f
+    t = 0.5 * (hi_t - lo_t) * xt + 0.5 * (hi_t + lo_t)
+    w_t = 0.5 * (hi_t - lo_t) * wt
+    f = 0.5 * (hi_f - lo_f) * xt + 0.5 * (hi_f + lo_f)
+    w_f = 0.5 * (hi_f - lo_f) * wt
+
+    pdf_t = np.exp(-0.5 * ((t - mu_t) / sd_t) ** 2) / (math.sqrt(2 * math.pi) * sd_t)
+    pdf_f = np.exp(-0.5 * ((f - mu_f) / sd_f) ** 2) / (math.sqrt(2 * math.pi) * sd_f)
+    vals = func(t[:, None], f[None, :])
+    weights = (w_t * pdf_t)[:, None] * (w_f * pdf_f)[None, :]
+    mass = float(np.sum(weights))
+    mean = float(np.sum(weights * vals)) / mass
+    return float(np.sum(weights * (vals - mean) ** 2)) / mass
+
+
+@functools.lru_cache
+def var_transmission_hat(
+    p: PhysicalParams,
+    m: int,
+    theta_bounds: tuple[float, float] | None = None,
+    phi_bounds: tuple[float, float] | None = None,
+    nodes: int = 64,
+) -> float:
+    """Sampling variance of the transmission estimator.
+
+    First term: propagated variance of the difference correlator,
+    4 eta Var[C_AB] / (alpha^2 v_a^2 S^2) with
+    S = sqrt(tau_x) cos(theta) + sqrt(tau_p) cos(phi).  Second term:
+    eta^2 S^4 Var[1/S^2] under the Gaussian uncertainty of the angle
+    estimates, integrated by 2-D Gauss-Legendre quadrature over the angle
+    confidence rectangle (+-6.5 sigma unless bounds are given).  Zero-width
+    bounds give a deterministic-angle second term of zero.  Cached: the
+    finite-size key-fraction search asks for the same channel variance once
+    per fraction.
+
+    Raises
+    ------
+    ValueError
+        If the angle rectangle reaches S = 0, where 1/S^2 is unbounded.
+    RuntimeError
+        If doubling the node count changes the quadrature by more than
+        1e-6 relative.
+    """
+    ct, cf = math.cos(p.theta), math.cos(p.phi)
+    rtx, rtp = math.sqrt(p.tau_x), math.sqrt(p.tau_p)
+    s_angles = rtx * ct + rtp * cf
+
+    v_bx = 1.0 + p.eta * p.tau_x * (p.v_mod + p.eps)
+    v_bp = 1.0 + p.eta * p.tau_p * (p.v_mod + p.eps)
+    sigma_x = math.sqrt(p.eta * p.tau_x) * ct * p.v_a * p.alpha
+    sigma_p = -math.sqrt(p.eta * p.tau_p) * cf * p.v_a * p.alpha
+    var_c = (p.v_a * v_bx + sigma_x**2 + p.v_a * v_bp + sigma_p**2) / m
+    term1 = 4.0 * p.eta * var_c / (p.alpha**2 * p.v_a**2 * s_angles**2)
+
+    sd_t = math.sqrt(var_theta_hat(p, m))
+    sd_f = math.sqrt(var_phi_hat(p, m))
+    if theta_bounds is None:
+        theta_bounds = (p.theta - _Z_ANGLES * sd_t, p.theta + _Z_ANGLES * sd_t)
+    if phi_bounds is None:
+        phi_bounds = (p.phi - _Z_ANGLES * sd_f, p.phi + _Z_ANGLES * sd_f)
+
+    degenerate = (
+        theta_bounds[1] <= theta_bounds[0]
+        or phi_bounds[1] <= phi_bounds[0]
+        or sd_t == 0.0
+        or sd_f == 0.0
+    )
+    if degenerate:
+        return term1
+    # S is smallest at the corner of largest |t| and |f| (cos falls on [0, pi]).
+    t_far = min(max(abs(theta_bounds[0]), abs(theta_bounds[1])), math.pi)
+    f_far = min(max(abs(phi_bounds[0]), abs(phi_bounds[1])), math.pi)
+    if rtx * math.cos(t_far) + rtp * math.cos(f_far) <= 0.0:
+        raise ValueError("angle confidence rectangle reaches S = 0: "
+                         "transmission variance unbounded")
+
+    def inv_s2(t, f):
+        return 1.0 / (rtx * np.cos(t) + rtp * np.cos(f)) ** 2
+
+    def var_quad(n: int) -> float:
+        return _gauss_legendre_variance(
+            inv_s2, p.theta, sd_t, theta_bounds, p.phi, sd_f, phi_bounds, n
+        )
+
+    v_coarse = var_quad(nodes)
+    v_fine = var_quad(2 * nodes)
+    scale = max(abs(v_fine), 1e-300)
+    if abs(v_fine - v_coarse) / scale > 1e-6 and abs(v_fine) > 1e-30:
+        raise RuntimeError(
+            f"quadrature did not converge: {v_coarse:.9g} vs {v_fine:.9g}"
+        )
+    term2 = p.eta**2 * s_angles**4 * max(v_fine, 0.0)
+    return term1 + term2
+
+
+def var_noise_hat(t_eps: float, m: int) -> float:
+    """Sampling variance of the channel-noise estimator, 2 (t eps + 1)^2 / m."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    return 2.0 * (t_eps + 1.0) ** 2 / m
+
+
+def estimator_variances(
+    known: PhysicalParams, report: EstimationReport, m_angles: int, m_channel: int
+) -> dict[str, float]:
+    """Variances of the report's estimators, as ``EstimationReport`` fields.
+
+    Evaluated at the plug-in parameters: ``known`` with the report's point
+    estimates, the transmittance clipped to (0, 1] and the noise to >= 0.
+    The imbalance is estimated on ``m_angles`` signals, the transmittance
+    and noise on ``m_channel``; the finite-size ``K_n`` scheme needs the
+    two apart.  The noise variance enters in the raw normalization of the
+    residual estimator, following the adopted convention.
+    """
+    p_hat = replace(
+        known,
+        eta=min(max(report.eta_hat, 1e-9), 1.0),
+        eps=max(report.eps_hat, 0.0),
+        theta=report.theta_hat,
+        phi=report.phi_hat,
+    )
+    v_t = var_theta_hat(p_hat, m_angles)
+    v_f = var_phi_hat(p_hat, m_angles)
+    return {
+        "var_theta": v_t,
+        "var_phi": v_f,
+        "var_delta": v_t + v_f,
+        "var_eta": var_transmission_hat(p_hat, m_channel),
+        "var_eps": var_noise_hat(p_hat.eta * p_hat.eps, m_channel),
+    }
+
+
 def estimate_all(
     source: QuadratureFrame | CovMat4,
     known: PhysicalParams,
@@ -223,8 +456,6 @@ def estimate_all(
     estimators are attached when a sample count is available (taken from
     the frame, or passed explicitly for a covariance input).
     """
-    from . import finite_size  # runtime import; finite_size has no runtime dep on us
-
     gamma = _as_gamma(source)
     if m is None and isinstance(source, QuadratureFrame):
         m = source.m
@@ -239,23 +470,7 @@ def estimate_all(
     alpha_hat, alpha_consistency = estimate_alpha(
         gamma, eta_hat, known.v_a, tau_x, tau_p
     )
-
-    var_theta = var_phi = var_delta = var_eta = var_eps = None
-    if m is not None:
-        p_hat = replace(
-            known,
-            eta=min(max(eta_hat, 1e-9), 1.0),
-            eps=max(eps_hat, 0.0),
-            theta=theta_hat,
-            phi=phi_hat,
-        )
-        var_theta = finite_size.var_theta_hat(p_hat, m)
-        var_phi = finite_size.var_phi_hat(p_hat, m)
-        var_delta = var_theta + var_phi
-        var_eta = finite_size.var_transmission_hat(p_hat, m)
-        var_eps = finite_size.var_noise_hat(p_hat.eta * p_hat.eps, m)
-
-    return EstimationReport(
+    report = EstimationReport(
         theta_hat=theta_hat,
         phi_hat=phi_hat,
         delta_hat=theta_hat + phi_hat,
@@ -266,12 +481,10 @@ def estimate_all(
         eta_hat=eta_hat,
         eps_hat=eps_hat,
         m=m,
-        var_theta=var_theta,
-        var_phi=var_phi,
-        var_delta=var_delta,
-        var_eta=var_eta,
-        var_eps=var_eps,
     )
+    if m is None:
+        return report
+    return replace(report, **estimator_variances(known, report, m, m))
 
 
 def shot_noise_normalize(

@@ -1,4 +1,4 @@
-"""Finite-size analysis: estimator variances, worst-case bounds, key rates.
+"""Finite-size analysis: worst-case bounds and key rates.
 
 Two orderings of the post-processing are supported.  Estimating parameters
 first (scheme ``K_n``) sacrifices a fraction of the block to parameter
@@ -6,26 +6,23 @@ estimation but enables the re-alignment transformation, so the remaining
 fraction earns the true-MI rate on worst-case parameters.  Running error
 correction first (scheme ``K_N``) keeps every signal for the key but is
 stuck with the ignorant MI.  Worst-case parameters use z-sigma Gaussian
-confidence bounds (z = 6.5 for a 1e-10 failure probability).
+confidence bounds (z = 6.5 for a 1e-10 failure probability) around the
+estimates, with the estimator variances of :mod:`hetqkd.estimation`
+evaluated at each scheme's sample counts.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .estimation import MAX_ANGLE, EstimationReport, estimator_variances
+# Re-exported so ``finite_size.var_transmission_hat``, the name the
+# benchmark tracer patches, keeps resolving.
+from .estimation import var_transmission_hat  # noqa: F401
 from .params import PhysicalParams
 from .security import KeyRateReport, KeyRateVariant, asymptotic_key_rate
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .estimation import EstimationReport
-
-_MAX_ANGLE = math.radians(80.0)
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,6 @@ class FiniteSizeConfig:
 
     n_total: float
     frac_key: float = 0.5
-    eps_pe: float = 1e-10
     z: float = 6.5
     eps_smooth: float = 1e-10
 
@@ -63,192 +59,6 @@ class WorstCaseParams:
     delta_up: float
 
 
-def var_theta_hat(p: PhysicalParams, m: int) -> float:
-    """Sampling variance of the x-quadrature imbalance estimator.
-
-    Leading 1/m term of the ratio estimator <p_a x_B> / <x_a x_B>:
-    Var[p_a x_B] / (m eta tau_x v_a^2 alpha^2 cos^2 theta), with the
-    Gaussian product moment Var[p_a x_B] = v_a V_B^x + <p_a x_B>^2
-    evaluated exactly.  This is the delta-method variance; Monte Carlo
-    over independent frames reproduces it within sampling error.
-    """
-    if m < 1000:
-        raise ValueError("variance formula requires m >= 1000")
-    if abs(p.theta) > _MAX_ANGLE:
-        raise ValueError("imbalance too close to pi/2, variance diverges")
-    v_bx = 1.0 + p.eta * p.tau_x * (p.v_mod + p.eps)
-    corr = math.sqrt(p.eta * p.tau_x) * math.sin(p.theta) * p.v_a * p.alpha
-    var_prod = p.v_a * v_bx + corr**2
-    return var_prod / (
-        m * p.eta * p.tau_x * p.v_a**2 * p.alpha**2 * math.cos(p.theta) ** 2
-    )
-
-
-def var_phi_hat(p: PhysicalParams, m: int) -> float:
-    """Mirror of :func:`var_theta_hat` for the p-quadrature arm."""
-    if m < 1000:
-        raise ValueError("variance formula requires m >= 1000")
-    if abs(p.phi) > _MAX_ANGLE:
-        raise ValueError("imbalance too close to pi/2, variance diverges")
-    v_bp = 1.0 + p.eta * p.tau_p * (p.v_mod + p.eps)
-    corr = math.sqrt(p.eta * p.tau_p) * math.sin(p.phi) * p.v_a * p.alpha
-    var_prod = p.v_a * v_bp + corr**2
-    return var_prod / (
-        m * p.eta * p.tau_p * p.v_a**2 * p.alpha**2 * math.cos(p.phi) ** 2
-    )
-
-
-def _legendre_and_derivative(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise."""
-    p_prev, p_n = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p_prev, p_n = p_n, ((2 * j - 1) * x * p_n - (j - 1) * p_prev) / j
-    return p_n, n * (x * p_n - p_prev) / ((x - 1.0) * (x + 1.0))
-
-
-@functools.lru_cache(maxsize=None)
-def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], cached per n.
-
-    Newton's method on P_n from the usual cosine initial guesses, in
-    elementwise arithmetic; the weights 2 / ((1 - x^2) P_n'(x)^2) are taken
-    at the converged nodes, and both are mirrored, so the rule is exactly
-    symmetric.  numpy's ``leggauss`` starts from LAPACK eigenvalues instead,
-    which ties its last bits to the BLAS kernel.  The returned arrays are
-    shared, hence read-only.
-    """
-    if n < 1:
-        raise ValueError("a Gauss-Legendre rule needs at least one node")
-    # Non-positive half of the nodes, ascending; the rest is its mirror.
-    x = np.array([-math.cos(math.pi * (k + 0.75) / (n + 0.5)) for k in range((n + 1) // 2)])
-    for _ in range(100):
-        p_n, deriv = _legendre_and_derivative(x, n)
-        step = p_n / deriv
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    if n % 2:
-        x[-1] = 0.0
-    _, deriv = _legendre_and_derivative(x, n)
-    weights = 2.0 / ((1.0 - x) * (1.0 + x) * deriv * deriv)
-    nodes = np.concatenate([x, -x[: n // 2][::-1]])
-    w = np.concatenate([weights, weights[: n // 2][::-1]])
-    nodes.flags.writeable = False
-    w.flags.writeable = False
-    return nodes, w
-
-
-def _gauss_legendre_variance(
-    func,
-    mu_t: float,
-    sd_t: float,
-    bounds_t: tuple[float, float],
-    mu_f: float,
-    sd_f: float,
-    bounds_f: tuple[float, float],
-    nodes: int,
-) -> float:
-    """Variance of func under a truncated bivariate Gaussian weight.
-
-    Central-moment (two-pass) evaluation: the raw second moment would lose
-    ~9 digits to cancellation because the integrand varies by parts per
-    thousand over the confidence rectangle.
-    """
-    xt, wt = legendre_rule(nodes)
-    lo_t, hi_t = bounds_t
-    lo_f, hi_f = bounds_f
-    t = 0.5 * (hi_t - lo_t) * xt + 0.5 * (hi_t + lo_t)
-    w_t = 0.5 * (hi_t - lo_t) * wt
-    f = 0.5 * (hi_f - lo_f) * xt + 0.5 * (hi_f + lo_f)
-    w_f = 0.5 * (hi_f - lo_f) * wt
-
-    pdf_t = np.exp(-0.5 * ((t - mu_t) / sd_t) ** 2) / (math.sqrt(2 * math.pi) * sd_t)
-    pdf_f = np.exp(-0.5 * ((f - mu_f) / sd_f) ** 2) / (math.sqrt(2 * math.pi) * sd_f)
-    vals = func(t[:, None], f[None, :])
-    weights = (w_t * pdf_t)[:, None] * (w_f * pdf_f)[None, :]
-    mass = float(np.sum(weights))
-    mean = float(np.sum(weights * vals)) / mass
-    return float(np.sum(weights * (vals - mean) ** 2)) / mass
-
-
-def var_transmission_hat(
-    p: PhysicalParams,
-    m: int,
-    theta_bounds: tuple[float, float] | None = None,
-    phi_bounds: tuple[float, float] | None = None,
-    nodes: int = 64,
-    z: float = 6.5,
-) -> float:
-    """Sampling variance of the transmission estimator.
-
-    First term: propagated variance of the difference correlator,
-    4 eta Var[C_AB] / (alpha^2 v_a^2 S^2) with
-    S = sqrt(tau_x) cos(theta) + sqrt(tau_p) cos(phi).  Second term:
-    eta^2 S^4 Var[1/S^2] under the Gaussian uncertainty of the angle
-    estimates, integrated by 2-D Gauss-Legendre quadrature over the angle
-    confidence rectangle.  Zero-width bounds give a deterministic-angle
-    second term of zero.
-
-    Raises
-    ------
-    RuntimeError
-        If doubling the node count changes the quadrature by more than
-        1e-6 relative.
-    """
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    sf, cf = math.sin(p.phi), math.cos(p.phi)
-    rtx, rtp = math.sqrt(p.tau_x), math.sqrt(p.tau_p)
-    s_angles = rtx * ct + rtp * cf
-
-    v_bx = 1.0 + p.eta * p.tau_x * (p.v_mod + p.eps)
-    v_bp = 1.0 + p.eta * p.tau_p * (p.v_mod + p.eps)
-    sigma_x = math.sqrt(p.eta * p.tau_x) * ct * p.v_a * p.alpha
-    sigma_p = -math.sqrt(p.eta * p.tau_p) * cf * p.v_a * p.alpha
-    var_c = (p.v_a * v_bx + sigma_x**2 + p.v_a * v_bp + sigma_p**2) / m
-    term1 = 4.0 * p.eta * var_c / (p.alpha**2 * p.v_a**2 * s_angles**2)
-
-    sd_t = math.sqrt(var_theta_hat(p, m))
-    sd_f = math.sqrt(var_phi_hat(p, m))
-    if theta_bounds is None:
-        theta_bounds = (p.theta - z * sd_t, p.theta + z * sd_t)
-    if phi_bounds is None:
-        phi_bounds = (p.phi - z * sd_f, p.phi + z * sd_f)
-
-    degenerate = (
-        theta_bounds[1] <= theta_bounds[0]
-        or phi_bounds[1] <= phi_bounds[0]
-        or sd_t == 0.0
-        or sd_f == 0.0
-    )
-    if degenerate:
-        return term1
-
-    def inv_s2(t, f):
-        return 1.0 / (rtx * np.cos(t) + rtp * np.cos(f)) ** 2
-
-    def var_quad(n: int) -> float:
-        return _gauss_legendre_variance(
-            inv_s2, p.theta, sd_t, theta_bounds, p.phi, sd_f, phi_bounds, n
-        )
-
-    v_coarse = var_quad(nodes)
-    v_fine = var_quad(2 * nodes)
-    scale = max(abs(v_fine), 1e-300)
-    if abs(v_fine - v_coarse) / scale > 1e-6 and abs(v_fine) > 1e-30:
-        raise RuntimeError(
-            f"quadrature did not converge: {v_coarse:.9g} vs {v_fine:.9g}"
-        )
-    term2 = p.eta**2 * s_angles**4 * max(v_fine, 0.0)
-    return term1 + term2
-
-
-def var_noise_hat(t_eps: float, m: int) -> float:
-    """Sampling variance of the channel-noise estimator, 2 (t eps + 1)^2 / m."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return 2.0 * (t_eps + 1.0) ** 2 / m
-
-
 def delta_n(n: float, eps_smooth: float = 1e-10) -> float:
     """Convergence penalty on the rate from a finite key block of n signals."""
     if n <= 0:
@@ -256,7 +66,7 @@ def delta_n(n: float, eps_smooth: float = 1e-10) -> float:
     return 7.0 * math.sqrt(math.log2(2.0 / eps_smooth) / n)
 
 
-def worst_case(report: "EstimationReport", cfg: FiniteSizeConfig) -> WorstCaseParams:
+def worst_case(report: EstimationReport, cfg: FiniteSizeConfig) -> WorstCaseParams:
     """Pessimistic bounds at z sigma from the report's estimates and variances."""
     needed = (report.var_eta, report.var_eps, report.var_theta, report.var_phi)
     if any(v is None for v in needed):
@@ -295,25 +105,9 @@ class FiniteKeyReport:
     rate: float
 
 
-def _variances_at(p_hat: PhysicalParams, m_angles: int, m_channel: int) -> dict[str, float]:
-    """Estimator variances with separate sample counts for the two stages.
-
-    The imbalance must be estimated on disclosed signals before error
-    correction (``m_angles``); transmittance and noise can be estimated on
-    the full block once error correction has revealed the data
-    (``m_channel``).  The noise variance enters in the raw normalization
-    of the residual estimator, following the adopted convention.
-    """
-    v_t = var_theta_hat(p_hat, m_angles)
-    v_f = var_phi_hat(p_hat, m_angles)
-    v_eta = var_transmission_hat(p_hat, m_channel)
-    v_eps = var_noise_hat(p_hat.eta * p_hat.eps, m_channel)
-    return {"var_theta": v_t, "var_phi": v_f, "var_eta": v_eta, "var_eps": v_eps}
-
-
 def finite_key_rate(
     p: PhysicalParams,
-    report: "EstimationReport",
+    report: EstimationReport,
     cfg: FiniteSizeConfig,
     scheme: FiniteScheme,
     balance_bs: bool = False,
@@ -328,6 +122,9 @@ def finite_key_rate(
     correction reveals.  ``K_N``: all signals serve both purposes,
     rate = K_IT(worst case) - Delta(N).  Point estimates come from
     ``report``; variances are re-evaluated at the scheme's sample counts.
+    Where those lie outside the variance formulas' validity (too few
+    samples, or an angle rectangle reaching S = 0) the bounds are NaN and,
+    as for an imbalance bound beyond 80 degrees, the rate is zero.
     """
     n_total = cfg.n_total
     if scheme is FiniteScheme.PE_BEFORE_EC:
@@ -335,38 +132,26 @@ def finite_key_rate(
         m_angles = n_total - n_key
         variant = KeyRateVariant.TT
     else:
-        n_key = n_total
-        m_angles = n_total
+        n_key = m_angles = n_total
         variant = KeyRateVariant.IT
-
-    p_hat = replace(
-        p,
-        eta=min(max(report.eta_hat, 1e-9), 1.0),
-        eps=max(report.eps_hat, 0.0),
-        theta=report.theta_hat,
-        phi=report.phi_hat,
-    )
-    variances = _variances_at(p_hat, int(m_angles), int(n_total))
-    wc_report = replace(report, **variances)
-    bounds = worst_case(wc_report, cfg)
     penalty = delta_n(n_key, cfg.eps_smooth)
 
-    if bounds.delta_up >= _MAX_ANGLE:
-        # Imbalance bound beyond the model's validity: no secure key.
-        asymptotic = KeyRateReport(variant=variant, mi=0.0, chi=0.0, beta=p.beta, rate=0.0)
-        return FiniteKeyReport(
-            scheme=scheme, block_size=n_total, frac_key=cfg.frac_key,
-            n_key=n_key, m_angles=m_angles, bounds=bounds, penalty=penalty,
-            asymptotic=asymptotic, rate=0.0,
-        )
-
-    p_wc = replace(p_hat, eta=bounds.eta_low, eps=bounds.eps_up,
-                   theta=bounds.delta_up, phi=0.0)
-    asymptotic = asymptotic_key_rate(p_wc, variant, balance_bs=balance_bs)
-    if scheme is FiniteScheme.PE_BEFORE_EC:
-        rate = max(0.0, (n_key / n_total) * (asymptotic.rate - penalty))
+    try:
+        variances = estimator_variances(p, report, int(m_angles), int(n_total))
+    except ValueError:
+        # Too few samples, or angles outside the variance formulas' validity.
+        bounds = WorstCaseParams(eta_low=math.nan, eps_up=math.nan, delta_up=math.nan)
     else:
-        rate = max(0.0, asymptotic.rate - penalty)
+        bounds = worst_case(replace(report, **variances), cfg)
+    if bounds.delta_up < MAX_ANGLE:
+        p_wc = replace(p, eta=bounds.eta_low, eps=bounds.eps_up,
+                       theta=bounds.delta_up, phi=0.0)
+        asymptotic = asymptotic_key_rate(p_wc, variant, balance_bs=balance_bs)
+    else:
+        # Imbalance bound beyond the model's validity, or NaN: no secure key.
+        asymptotic = KeyRateReport(variant=variant, mi=0.0, chi=0.0, beta=p.beta, rate=0.0)
+    # n_key / n_total is exactly 1.0 for K_N.
+    rate = max(0.0, (n_key / n_total) * (asymptotic.rate - penalty))
     return FiniteKeyReport(
         scheme=scheme, block_size=n_total, frac_key=cfg.frac_key,
         n_key=n_key, m_angles=m_angles, bounds=bounds, penalty=penalty,
@@ -379,7 +164,7 @@ FRACTION_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 def optimize_fraction(
     p: PhysicalParams,
-    report: "EstimationReport",
+    report: EstimationReport,
     cfg: FiniteSizeConfig,
     balance_bs: bool = False,
 ) -> tuple[float, FiniteKeyReport]:

@@ -139,6 +139,21 @@ class TestFiniteCommand:
         assert raw_rate != bal_rate
         assert bal_rate > 0.0
 
+    @pytest.mark.parametrize("overrides", [
+        # K_n at key fraction 0.95 leaves 500 signals for the angle estimate.
+        ["losses_db=[3.0]", "block_sizes=[1e4]"],
+        # The angle rectangle crosses sqrt(tau_x) cos t + sqrt(tau_p) cos f = 0.
+        ["theta_deg=75", "phi_deg=75", "losses_db=[3.0]", "block_sizes=[2e4]"],
+    ])
+    def test_outside_variance_validity_gives_zero_rate(self, tmp_path, overrides):
+        argv = ["finite", "--out", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        _, rows = read_csv(str(tmp_path / "out" / "finite.csv"), "finite")
+        assert [r[3] for r in rows] == ["K_n", "K_N"]
+        assert all(float(r[5]) == 0.0 for r in rows)
+
     def test_golden(self, tmp_path):
         run(tmp_path, "finite", FINITE_CONFIG, "out")
         assert digest(tmp_path / "out" / "finite.csv") == GOLDEN["finite"]
@@ -247,6 +262,9 @@ class TestOverrides:
 class TestErrorPaths:
     def test_unknown_config_key_is_config_error(self, tmp_path):
         assert run(tmp_path, "keyrate", {"bogus": 1}, "out") == 2
+        # eps_pe never had an effect and is no longer a key.
+        assert run(tmp_path, "finite", {"eps_pe": 1e-10}, "out") == 2
+        assert run(tmp_path, "simulate", {"eps_pe": 1e-10}, "out") == 2
 
     def test_invalid_parameter_is_config_error(self, tmp_path):
         assert run(tmp_path, "keyrate", {"params": {"eta": 2.0}}, "out") == 2

@@ -25,7 +25,7 @@ from hetqkd import (
     var_transmission_hat,
     worst_case,
 )
-from hetqkd.finite_size import legendre_rule
+from hetqkd.estimation import legendre_rule
 
 
 class TestVarianceFormulas:
@@ -49,6 +49,10 @@ class TestVarianceFormulas:
             var_theta_hat(steep, 10_000)
         with pytest.raises(ValueError, match="m >= 1000"):
             var_theta_hat(lab_link, 100)
+        # The angle rectangle reaches sqrt(tau_x) cos t + sqrt(tau_p) cos f = 0.
+        both_steep = replace(lab_link, theta=math.radians(75.0), phi=math.radians(75.0))
+        with pytest.raises(ValueError, match="S = 0"):
+            var_transmission_hat(both_steep, 20_000)
 
     def test_noise_variance_examples(self):
         assert var_noise_hat(0.0, 10**6) == pytest.approx(2e-6, rel=1e-12)
